@@ -11,6 +11,11 @@
      test/fingerprints.expected, pinning today's values against future
      regressions (and documenting exactly what "bit-identical" means).
 
+   The min-cost-flow rows ([flows]) feed only the golden file: one Thm 1.1
+   run costs ~0.1 s, too much to repeat across every domain count and
+   engine core.  The flow pipeline never touches the engine, and the
+   matrices at these sizes stay below every parallel threshold.
+
    Every fingerprint function takes a fresh accountant and fault plan per
    run — fault plans are stateful (adversarial drop budgets burn as
    queried), so sharing one across runs would corrupt the comparison. *)
@@ -25,6 +30,8 @@ module Bfs = Lbcc_dist.Bfs
 module Sssp = Lbcc_dist.Sssp
 module Leader = Lbcc_dist.Leader
 module Sparsify = Lbcc_sparsifier.Sparsify
+module Network = Lbcc_flow.Network
+module Mcmf_lp = Lbcc_flow.Mcmf_lp
 
 let seeds = List.init 10 (fun i -> i + 1)
 
@@ -192,6 +199,32 @@ let protocols =
               r.Sparsify.rounds r.Sparsify.final_sampled) );
   ]
 
+(* Thm 1.1 min-cost max-flow (spanner-free: the IPM over the Lemma 5.1
+   normal solver) on small [Network.random] instances at the CLI defaults
+   (density 0.3, capacity 6, cost 5), solver seed 1.  Pins the rounded flow
+   and the LP objective by bit pattern, value, cost, exactness, IPM
+   iterations and the accountant breakdown: any change to the IPM, the
+   leverage scores or the normal solve that moves one bit shows here. *)
+let flow_fp ~n seed =
+  let net =
+    Network.random (Prng.create seed) ~n ~density:0.3 ~max_capacity:6
+      ~max_cost:5
+  in
+  let acc = Rounds.create ~bandwidth:(Model.bandwidth ~n) in
+  let r = Mcmf_lp.solve ~accountant:acc ~prng:(Prng.create 1) net in
+  Printf.sprintf "%s|%Lx|%d|%d|%b|%b|%d|%d|%s" (floats r.Mcmf_lp.flow)
+    (Int64.bits_of_float r.Mcmf_lp.lp_objective)
+    r.Mcmf_lp.value r.Mcmf_lp.cost r.Mcmf_lp.feasible
+    r.Mcmf_lp.matches_baseline r.Mcmf_lp.iterations r.Mcmf_lp.rounds
+    (acct_fp acc)
+
+(* (row name, seed, fingerprint thunk). *)
+let flows =
+  List.map
+    (fun (n, seed) ->
+      (Printf.sprintf "mcmf n=%d" n, seed, fun () -> flow_fp ~n seed))
+    [ (6, 2022); (6, 2023); (6, 2024); (7, 2022); (7, 2023); (7, 2024) ]
+
 (* The golden file keeps a readable subset of the seed range (the full
    cross product lives in the test suites).  Raw fingerprint strings are
    checked in rather than digests of them: when a value drifts, the diff
@@ -207,3 +240,6 @@ let golden_lines () =
         (fun seed -> Printf.sprintf "%s\t%d\t%s" name seed (f seed))
         golden_seeds)
     protocols
+  @ List.map
+      (fun (name, seed, f) -> Printf.sprintf "%s\t%d\t%s" name seed (f ()))
+      flows
