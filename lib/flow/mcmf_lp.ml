@@ -133,18 +133,44 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
     iters * per_iter
   in
   (* Prepared workspaces, allocated once per operator and reused by every
-     IPM iteration's solve: the normal-matrix buffer and the floored
-     diagonal.  The IPM drives the solver sequentially, so reuse is safe. *)
+     IPM iteration's solve: the normal-matrix buffer, the floored diagonal,
+     and a one-entry factor cache.  The cache keeps the factor of [m_mat]
+     with a private copy of the floored diagonal it was assembled from; an
+     exact leverage evaluation issues one solve per LP row against the same
+     [d], so all but the first of them reuse the factor.  The key is
+     compared by bit pattern, so a hit returns exactly what a fresh
+     assembly and factorization would.  The IPM drives the solver
+     sequentially, so reusing the buffers and the cache is safe. *)
   let m_mat = Dense.create n_lp n_lp in
   let d_floored = Array.make inst.m_lp 0.0 in
-  let solve ~d ~rhs =
-    (* Relative floor on the diagonal scaling: entries that underflow to
-       zero (coordinates numerically on the boundary) would otherwise zero
-       out a row of the normal matrix. *)
-    let dmax = Array.fold_left Float.max 0.0 d in
-    let floor_v = 1e-120 *. Float.max dmax 1e-300 in
-    Array.iteri (fun i x -> d_floored.(i) <- Float.max x floor_v) d;
-    let d = d_floored in
+  let cached_d = Array.make inst.m_lp 0.0 in
+  let cached = ref None in
+  let prepare m =
+    match backend with
+    | `Gremban -> Gremban.prepare m
+    | `Direct -> Dense.solve_factored (Dense.factorize m)
+  in
+  (* Repair, run only when factorization fails: late IPM iterates can put a
+     diagonal entry (the grounding D2 + D3 of a vertex, ~1e-40) below the
+     precision of the Laplacian part (~1e19), and elimination then cancels
+     a pivot to zero.  Shifting the diagonal by 1e-13 of its largest entry
+     makes the matrix strictly diagonally dominant, so the direct factor of
+     the shifted matrix exists (the Gremban doubling turns the shift into
+     cross edges rather than grounding, so it can still fail); the
+     refinement step below measures its residual against the unshifted
+     [m_mat].  Matrices that factor without the shift never reach this. *)
+  let factor () =
+    match prepare m_mat with
+    | f -> f
+    | exception Failure _ ->
+        let shifted = Dense.copy m_mat in
+        let dmax = Array.fold_left Float.max 0.0 (Dense.diag m_mat) in
+        for i = 0 to n_lp - 1 do
+          Dense.add_entry shifted i i (1e-13 *. dmax)
+        done;
+        prepare shifted
+  in
+  let assemble d =
     Dense.fill m_mat 0.0;
     (* B D1 B^T *)
     Array.iteri
@@ -165,17 +191,41 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
       Dense.add_entry m_mat i i (d.(ne + i) +. d.(ne + n_lp + i))
     done;
     (* e_t D4 e_t^T *)
-    Dense.add_entry m_mat (col sink) (col sink) d.(ne + (2 * n_lp));
+    Dense.add_entry m_mat (col sink) (col sink) d.(ne + (2 * n_lp))
+  in
+  let same_key () =
+    let rec go i =
+      i >= inst.m_lp
+      || Int64.equal
+           (Int64.bits_of_float d_floored.(i))
+           (Int64.bits_of_float cached_d.(i))
+         && go (i + 1)
+    in
+    go 0
+  in
+  let solve ~d ~rhs =
+    (* Relative floor on the diagonal scaling: entries that underflow to
+       zero (coordinates numerically on the boundary) would otherwise zero
+       out a row of the normal matrix. *)
+    let dmax = Array.fold_left Float.max 0.0 d in
+    let floor_v = 1e-120 *. Float.max dmax 1e-300 in
+    Array.iteri (fun i x -> d_floored.(i) <- Float.max x floor_v) d;
+    let solve_once =
+      match !cached with
+      | Some f when same_key () -> f
+      | _ ->
+          (* Drop the old entry first: if assembly or factorization raises,
+             [m_mat] no longer matches it. *)
+          cached := None;
+          assemble d_floored;
+          let f = factor () in
+          Array.blit d_floored 0 cached_d 0 inst.m_lp;
+          cached := Some f;
+          f
+    in
     (* One step of iterative refinement: the IPM hands us normal matrices
        whose entries span ~30 orders of magnitude, where a single solve
        loses digits the path following cannot afford. *)
-    let solve_once =
-      match backend with
-      | `Gremban -> Gremban.solve m_mat
-      | `Direct ->
-          let f = Dense.factorize m_mat in
-          Dense.solve_factored f
-    in
     let s = solve_once rhs in
     let resid = Vec.sub rhs (Dense.matvec m_mat s) in
     if Vec.norm2 resid > 1e-12 *. Float.max 1.0 (Vec.norm2 rhs) then

@@ -62,4 +62,13 @@ let solve_with ~laplacian_solve m y =
   let x12 = laplacian_solve g b in
   Array.init n (fun i -> (x12.(i) -. x12.(n + i)) /. 2.0)
 
-let solve m y = solve_with ~laplacian_solve:(fun g b -> Exact.solve_graph g b) m y
+let prepare m =
+  let n = Dense.rows m in
+  let f = Exact.factor (virtual_graph m) in
+  fun y ->
+    if Vec.dim y <> n then invalid_arg "Gremban.solve: dimension mismatch";
+    let b = Array.init (2 * n) (fun i -> if i < n then y.(i) else -.y.(i - n)) in
+    let x12 = Exact.solve f b in
+    Array.init n (fun i -> (x12.(i) -. x12.(n + i)) /. 2.0)
+
+let solve m y = prepare m y

@@ -30,6 +30,14 @@ val virtual_graph : Dense.t -> Graph.t
 val solve : Dense.t -> Vec.t -> Vec.t
 (** Exact solve of [M x = y] through the reduction (reference path). *)
 
+val prepare : Dense.t -> Vec.t -> Vec.t
+(** [prepare m] builds the doubled graph and factors its Laplacian once;
+    the returned closure solves [M x = y] for any [y], bit-identically to
+    [solve m y].  The closure reuses the factorization's scratch buffers,
+    so it must be called sequentially.
+    @raise Failure if the factorization finds a (numerically) singular
+    pivot. *)
+
 val solve_with :
   laplacian_solve:(Graph.t -> Vec.t -> Vec.t) -> Dense.t -> Vec.t -> Vec.t
 (** Same, but delegating the doubled Laplacian system to the given solver —

@@ -74,16 +74,15 @@ let charge_vector acc label =
 let leverage_oracle ?accountant ~config ~prng ~(problem : Problem.t)
     ~(solver : Problem.normal_solver) ~spp d =
   let dd = Vec.div d spp in
+  let d2 = Vec.mul dd dd in
   let op =
     {
-      Leverage.rows = Problem.m problem;
-      cols = Problem.n problem;
-      apply = (fun x -> Vec.mul dd (Sparse.matvec problem.Problem.a x));
-      apply_t = (fun y -> Sparse.matvec_t problem.Problem.a (Vec.mul dd y));
+      Leverage.a = problem.Problem.a;
+      scale = dd;
       solve_normal =
         (fun z ->
           charge_solver accountant solver;
-          solver.Problem.solve ~d:(Vec.mul dd dd) ~rhs:z);
+          solver.Problem.solve ~d:d2 ~rhs:z);
       solve_rounds = solver.Problem.rounds;
     }
   in

@@ -5,10 +5,8 @@ module Sparse = Lbcc_linalg.Sparse
 module Rounds = Lbcc_net.Rounds
 
 type operator = {
-  rows : int;
-  cols : int;
-  apply : Vec.t -> Vec.t;
-  apply_t : Vec.t -> Vec.t;
+  a : Sparse.t;
+  scale : Vec.t;
   solve_normal : Vec.t -> Vec.t;
   solve_rounds : int;
 }
@@ -16,22 +14,38 @@ type operator = {
 let of_row_scaled ?(solve_rounds = 1) a d =
   if Vec.dim d <> Sparse.rows a then
     invalid_arg "Leverage.of_row_scaled: dimension mismatch";
-  let apply x = Vec.mul d (Sparse.matvec a x) in
-  let apply_t y = Sparse.matvec_t a (Vec.mul d y) in
   (* Gram matrix (DA)^T (DA) = A^T D^2 A, factored once per operator. *)
   let gram = Sparse.gram a (Vec.mul d d) in
   let factor = lazy (Dense.factorize gram) in
   let solve_normal z = Dense.solve_factored (Lazy.force factor) z in
-  { rows = Sparse.rows a; cols = Sparse.cols a; apply; apply_t; solve_normal; solve_rounds }
+  { a; scale = d; solve_normal; solve_rounds }
 
+let rows op = Sparse.rows op.a
+let apply op x = Vec.mul op.scale (Sparse.matvec op.a x)
+let apply_t op y = Sparse.matvec_t op.a (Vec.mul op.scale y)
+
+(* sigma_i = e_i^T M (M^T M)^{-1} M^T e_i with M = diag(scale) a.  Row i of
+   M is the only one [M^T e_i] touches, so the right-hand side is
+   [scale_i * a_i] and only entry i of [M s] is read back.  Both are built
+   with [Sparse.iter_row] in the accumulation order of [Sparse.matvec_t]
+   and [Sparse.matvec], so each score is bit-identical to
+   [apply (solve_normal (apply_t e_i))].(i) at O(nnz(a_i)) cost around the
+   solve instead of O(nnz(a) + m).  One normal solve per row, as before. *)
 let exact op =
-  Vec.init op.rows (fun i ->
-      let p = op.apply (op.solve_normal (op.apply_t (Vec.basis op.rows i))) in
-      p.(i))
+  let a = op.a and scale = op.scale in
+  let rhs = Vec.zeros (Sparse.cols a) in
+  Vec.init (Sparse.rows a) (fun i ->
+      let si = scale.(i) in
+      Array.fill rhs 0 (Vec.dim rhs) 0.0;
+      Sparse.iter_row a i (fun j v -> rhs.(j) <- rhs.(j) +. (v *. si));
+      let s = op.solve_normal rhs in
+      let acc = ref 0.0 in
+      Sparse.iter_row a i (fun j v -> acc := !acc +. (v *. s.(j)));
+      si *. !acc)
 
 let approximate ?accountant ~prng ~eta op =
   if eta <= 0.0 then invalid_arg "Leverage.approximate: eta must be positive";
-  let m = op.rows in
+  let m = rows op in
   (* Never use more probes than exact computation needs: for small [m]
      (simulation scale) the JL constants exceed [m], and [m] basis probes
      compute sigma exactly at the same communication pattern. *)
@@ -55,7 +69,7 @@ let approximate ?accountant ~prng ~eta op =
         Rounds.charge_vector acc ~label:"leverage-matvec" ~entry_bits:(Bits.float_bits ());
         Rounds.charge_vector acc ~label:"leverage-matvec" ~entry_bits:(Bits.float_bits ())
     | None -> ());
-    let p = op.apply (op.solve_normal (op.apply_t q)) in
+    let p = apply op (op.solve_normal (apply_t op q)) in
     for i = 0 to m - 1 do
       sigma.(i) <- sigma.(i) +. (p.(i) *. p.(i))
     done

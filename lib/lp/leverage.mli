@@ -11,14 +11,16 @@ module Vec = Lbcc_linalg.Vec
 module Sparse = Lbcc_linalg.Sparse
 
 type operator = {
-  rows : int;  (** m *)
-  cols : int;  (** n *)
-  apply : Vec.t -> Vec.t;  (** [M x] *)
-  apply_t : Vec.t -> Vec.t;  (** [M^T y] *)
-  solve_normal : Vec.t -> Vec.t;  (** [(M^T M)^{-1} z] to high precision *)
+  a : Sparse.t;  (** the [m x n] constraint matrix *)
+  scale : Vec.t;  (** row scale [d]: the operator is [M = diag(d) a] *)
+  solve_normal : Vec.t -> Vec.t;
+      (** [(M^T M)^{-1} z] to high precision.  Must not keep [z]: {!exact}
+          reuses one right-hand-side buffer across its solves. *)
   solve_rounds : int;
       (** the [T(n,m)] of Theorem 1.4: rounds charged per normal solve *)
 }
+(** A row-scaled sparse operator with its normal-system backend; [M x] and
+    [M^T y] are derived from [a] and [scale]. *)
 
 val of_row_scaled : ?solve_rounds:int -> Sparse.t -> Vec.t -> operator
 (** [of_row_scaled a d] is the operator for [M = diag(d) * a], with the
@@ -26,8 +28,10 @@ val of_row_scaled : ?solve_rounds:int -> Sparse.t -> Vec.t -> operator
     reference backend; flow instances override with the Laplacian path). *)
 
 val exact : operator -> Vec.t
-(** Exact leverage scores via [n] normal solves — [O(n)] probes; reference
-    for tests and small instances. *)
+(** Exact leverage scores, one normal solve per row:
+    [sigma_i = d_i a_i^T s] with [s = (M^T M)^{-1} (d_i a_i)].  Each entry
+    is bit-identical to [(M (M^T M)^{-1} M^T e_i)_i]; reference for tests
+    and small instances. *)
 
 val approximate :
   ?accountant:Lbcc_net.Rounds.t ->
