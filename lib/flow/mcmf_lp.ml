@@ -193,16 +193,6 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
     (* e_t D4 e_t^T *)
     Dense.add_entry m_mat (col sink) (col sink) d.(ne + (2 * n_lp))
   in
-  let same_key () =
-    let rec go i =
-      i >= inst.m_lp
-      || Int64.equal
-           (Int64.bits_of_float d_floored.(i))
-           (Int64.bits_of_float cached_d.(i))
-         && go (i + 1)
-    in
-    go 0
-  in
   let solve ~d ~rhs =
     (* Relative floor on the diagonal scaling: entries that underflow to
        zero (coordinates numerically on the boundary) would otherwise zero
@@ -212,7 +202,7 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
     Array.iteri (fun i x -> d_floored.(i) <- Float.max x floor_v) d;
     let solve_once =
       match !cached with
-      | Some f when same_key () -> f
+      | Some f when Vec.equal_bits d_floored cached_d -> f
       | _ ->
           (* Drop the old entry first: if assembly or factorization raises,
              [m_mat] no longer matches it. *)

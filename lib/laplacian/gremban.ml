@@ -54,21 +54,17 @@ let virtual_graph m =
        Laplacian, solve it directly";
   Graph.create ~n:(2 * n) !edges
 
-let solve_with ~laplacian_solve m y =
-  let n = Dense.rows m in
+(* [M x = y] from the doubled system [L (x1, x2) = (y, -y)], whose solution
+   [solve_doubled] returns: [x = (x1 - x2) / 2]. *)
+let reduce n solve_doubled y =
   if Vec.dim y <> n then invalid_arg "Gremban.solve: dimension mismatch";
-  let g = virtual_graph m in
   let b = Array.init (2 * n) (fun i -> if i < n then y.(i) else -.y.(i - n)) in
-  let x12 = laplacian_solve g b in
+  let x12 = solve_doubled b in
   Array.init n (fun i -> (x12.(i) -. x12.(n + i)) /. 2.0)
 
-let prepare m =
-  let n = Dense.rows m in
-  let f = Exact.factor (virtual_graph m) in
-  fun y ->
-    if Vec.dim y <> n then invalid_arg "Gremban.solve: dimension mismatch";
-    let b = Array.init (2 * n) (fun i -> if i < n then y.(i) else -.y.(i - n)) in
-    let x12 = Exact.solve f b in
-    Array.init n (fun i -> (x12.(i) -. x12.(n + i)) /. 2.0)
+let solve_with ~laplacian_solve m y =
+  reduce (Dense.rows m) (laplacian_solve (virtual_graph m)) y
+
+let prepare m = reduce (Dense.rows m) (Exact.solve (Exact.factor (virtual_graph m)))
 
 let solve m y = prepare m y

@@ -13,6 +13,17 @@ let basis n i =
 let copy = Array.copy
 let dim = Array.length
 
+let equal_bits x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec go i =
+    i >= n
+    || Int64.equal (Int64.bits_of_float x.(i)) (Int64.bits_of_float y.(i))
+       && go (i + 1)
+  in
+  go 0
+
 let check_dims name x y =
   if Array.length x <> Array.length y then
     invalid_arg (Printf.sprintf "Vec.%s: dimension mismatch (%d vs %d)" name

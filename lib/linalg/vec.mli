@@ -15,6 +15,11 @@ val basis : int -> int -> t
 val copy : t -> t
 val dim : t -> int
 
+val equal_bits : t -> t -> bool
+(** Same dimension and every entry has the same bit pattern: [0.0] and
+    [-0.0] differ, a NaN equals only the same NaN.  The identity test for
+    cache keys, where float [=] would merge the zeros and split NaNs. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val scale : float -> t -> t

@@ -20,7 +20,6 @@ let of_row_scaled ?(solve_rounds = 1) a d =
   let solve_normal z = Dense.solve_factored (Lazy.force factor) z in
   { a; scale = d; solve_normal; solve_rounds }
 
-let rows op = Sparse.rows op.a
 let apply op x = Vec.mul op.scale (Sparse.matvec op.a x)
 let apply_t op y = Sparse.matvec_t op.a (Vec.mul op.scale y)
 
@@ -45,7 +44,7 @@ let exact op =
 
 let approximate ?accountant ~prng ~eta op =
   if eta <= 0.0 then invalid_arg "Leverage.approximate: eta must be positive";
-  let m = rows op in
+  let m = Sparse.rows op.a in
   (* Never use more probes than exact computation needs: for small [m]
      (simulation scale) the JL constants exceed [m], and [m] basis probes
      compute sigma exactly at the same communication pattern. *)

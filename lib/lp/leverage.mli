@@ -27,6 +27,12 @@ val of_row_scaled : ?solve_rounds:int -> Sparse.t -> Vec.t -> operator
     normal solves done by dense factorization of the Gram matrix (the
     reference backend; flow instances override with the Laplacian path). *)
 
+val apply : operator -> Vec.t -> Vec.t
+(** [M x]. *)
+
+val apply_t : operator -> Vec.t -> Vec.t
+(** [M^T y]. *)
+
 val exact : operator -> Vec.t
 (** Exact leverage scores, one normal solve per row:
     [sigma_i = d_i a_i^T s] with [s = (M^T M)^{-1} (d_i a_i)].  Each entry

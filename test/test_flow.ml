@@ -5,6 +5,8 @@ module Mcmf = Lbcc_flow.Mcmf
 module Mcmf_lp = Lbcc_flow.Mcmf_lp
 module Vec = Lbcc_linalg.Vec
 module Problem = Lbcc_lp.Problem
+module Leverage = Lbcc_lp.Leverage
+module Lbcc = Lbcc_core.Lbcc
 
 let diamond () =
   (* s=0, t=3; two parallel routes with different costs. *)
@@ -253,6 +255,103 @@ let test_lp_normal_solver_matches_dense () =
       (Vec.dist2 x1 x2 < 1e-6 *. Float.max 1.0 (Vec.norm2 x2))
   done
 
+(* The factor cache must be invisible: every call returns the bits a
+   freshly built solver returns for the same [d], whatever came before. *)
+let test_lp_normal_solver_cache backend () =
+  let net =
+    Network.random (Prng.create 2022) ~n:7 ~density:0.3 ~max_capacity:6
+      ~max_cost:5
+  in
+  let inst = Mcmf_lp.build ~prng:(Prng.create 1) net in
+  let m = inst.Mcmf_lp.m_lp and n = inst.Mcmf_lp.n_lp in
+  let prng = Prng.create 99 in
+  let draw () = Vec.init m (fun _ -> 10.0 ** (4.0 *. (Prng.float prng -. 0.5))) in
+  let rhs = Vec.init n (fun _ -> Prng.gaussian prng) in
+  let d1 = draw () and d2 = draw () in
+  let fresh d =
+    (Mcmf_lp.laplacian_normal_solver ~backend inst).Problem.solve ~d ~rhs
+  in
+  let cached = Mcmf_lp.laplacian_normal_solver ~backend inst in
+  let check name d =
+    Alcotest.(check bool) name true
+      (Vec.equal_bits (fresh d) (cached.Problem.solve ~d ~rhs))
+  in
+  check "d1" d1;
+  check "d2" d2;
+  check "d1 again" d1;
+  check "d1 hit" d1;
+  (* The caller's array mutated in place between calls. *)
+  let d = Vec.copy d1 in
+  check "before mutation" d;
+  d.(0) <- d.(0) *. 2.0;
+  Alcotest.(check bool) "mutation moves the solution" false
+    (Vec.equal_bits (fresh d) (fresh d1));
+  check "after mutation" d;
+  (* A one-ulp change must miss: pick an entry whose ulp moves the fresh
+     solution, so that a stale factor would show. *)
+  let bumped k =
+    let d' = Vec.copy d1 in
+    d'.(k) <- Float.succ d'.(k);
+    d'
+  in
+  let k =
+    List.find
+      (fun k -> not (Vec.equal_bits (fresh (bumped k)) (fresh d1)))
+      (List.init m Fun.id)
+  in
+  check "d1 before ulp" d1;
+  check "one ulp up" (bumped k);
+  check "one ulp back" d1
+
+(* Leverage.exact's row path against the textbook formula
+   sigma_i = (M (M^T M)^{-1} M^T e_i)_i, bit for bit, on the flow LP with
+   the Laplacian normal solver and with the dense reference backend. *)
+let test_leverage_row_path_bit_identical () =
+  let net =
+    Network.random (Prng.create 2023) ~n:7 ~density:0.3 ~max_capacity:6
+      ~max_cost:5
+  in
+  let inst = Mcmf_lp.build ~prng:(Prng.create 1) net in
+  let a = inst.Mcmf_lp.problem.Problem.a in
+  let m = inst.Mcmf_lp.m_lp in
+  let solver = Mcmf_lp.laplacian_normal_solver inst in
+  let basis_formula op =
+    Vec.init m (fun i ->
+        let p =
+          Leverage.apply op
+            (op.Leverage.solve_normal (Leverage.apply_t op (Vec.basis m i)))
+        in
+        p.(i))
+  in
+  List.iter
+    (fun seed ->
+      let prng = Prng.create seed in
+      let d = Vec.init m (fun _ -> 10.0 ** (6.0 *. (Prng.float prng -. 0.5))) in
+      let solves = ref 0 in
+      let lap =
+        {
+          Leverage.a;
+          scale = d;
+          solve_normal =
+            (fun z ->
+              incr solves;
+              solver.Problem.solve ~d:(Vec.mul d d) ~rhs:z);
+          solve_rounds = 1;
+        }
+      in
+      let sigma = Leverage.exact lap in
+      Alcotest.(check int) "one normal solve per row" m !solves;
+      Alcotest.(check bool)
+        (Printf.sprintf "laplacian backend, seed %d" seed)
+        true
+        (Vec.equal_bits sigma (basis_formula lap));
+      let dense = Leverage.of_row_scaled a d in
+      Alcotest.(check bool)
+        (Printf.sprintf "dense backend, seed %d" seed)
+        true
+        (Vec.equal_bits (Leverage.exact dense) (basis_formula dense)))
+    [ 1; 2; 3; 4 ]
+
 let test_lp_column_of_vertex () =
   let net = diamond () in
   let inst = Mcmf_lp.build ~prng:(Prng.create 97) net in
@@ -353,6 +452,23 @@ let test_core_min_cost_max_flow () =
   Alcotest.(check bool) "exact" true r.Lbcc_core.Lbcc.exact;
   Alcotest.(check int) "value" 4 r.Lbcc_core.Lbcc.value
 
+(* Networks whose late IPM iterates used to make LU cancel a pivot to zero
+   (a grounding diagonal ~1e-40 under a Laplacian part ~1e19), raising an
+   untyped Failure from the front door; the shifted refactorization now
+   carries them to an exact, feasible flow. *)
+let test_core_formerly_singular () =
+  List.iter
+    (fun (seed, n) ->
+      let net =
+        Network.random (Prng.create seed) ~n ~density:0.3 ~max_capacity:6
+          ~max_cost:5
+      in
+      let r = Lbcc.min_cost_max_flow ~ctx:(Lbcc.Ctx.make ~seed:1 ()) net in
+      let name = Printf.sprintf "seed %d, n=%d" seed n in
+      Alcotest.(check bool) (name ^ ": exact") true r.Lbcc.exact;
+      Alcotest.(check bool) (name ^ ": flow") true (Network.is_flow net r.Lbcc.flow))
+    [ (6027, 6); (2040, 8); (2060, 8) ]
+
 let test_core_sparsify_and_solve () =
   let prng = Prng.create 120 in
   let g = Lbcc_graph.Gen.erdos_renyi_connected prng ~n:32 ~p:0.4 ~w_max:4 in
@@ -411,6 +527,12 @@ let suites =
         Alcotest.test_case "build well-formed" `Quick test_lp_build_well_formed;
         Alcotest.test_case "perturbation" `Quick test_lp_perturbation_preserves_order;
         Alcotest.test_case "normal solver vs dense" `Quick test_lp_normal_solver_matches_dense;
+        Alcotest.test_case "normal solver cache (direct)" `Quick
+          (test_lp_normal_solver_cache `Direct);
+        Alcotest.test_case "normal solver cache (gremban)" `Quick
+          (test_lp_normal_solver_cache `Gremban);
+        Alcotest.test_case "leverage row path = basis formula" `Quick
+          test_leverage_row_path_bit_identical;
         Alcotest.test_case "column mapping" `Quick test_lp_column_of_vertex;
         Alcotest.test_case "diamond exact" `Slow test_lp_solve_diamond_exact;
         Alcotest.test_case "random exact" `Slow test_lp_solve_random_exact;
@@ -424,6 +546,8 @@ let suites =
     ( "flow.core_api",
       [
         Alcotest.test_case "min cost max flow" `Slow test_core_min_cost_max_flow;
+        Alcotest.test_case "formerly singular networks" `Slow
+          test_core_formerly_singular;
         Alcotest.test_case "sparsify and solve" `Slow test_core_sparsify_and_solve;
         Alcotest.test_case "effective resistance" `Quick test_core_effective_resistance;
       ] );

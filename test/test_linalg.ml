@@ -48,6 +48,16 @@ let test_vec_clamp () =
 let test_vec_basis () =
   Alcotest.check vecs "basis" [| 0.0; 1.0; 0.0 |] (Vec.basis 3 1)
 
+let test_vec_equal_bits () =
+  let check name expected x y =
+    Alcotest.(check bool) name expected (Vec.equal_bits x y)
+  in
+  check "same" true [| 1.5; -2.0 |] [| 1.5; -2.0 |];
+  check "0.0 vs -0.0" false [| 0.0 |] [| -0.0 |];
+  check "one ulp" false [| 1.0 |] [| Float.succ 1.0 |];
+  check "same nan" true [| Float.nan |] [| Float.nan |];
+  check "dimensions" false [| 1.0 |] [| 1.0; 1.0 |]
+
 let prop_vec_dot_symmetric =
   QCheck.Test.make ~name:"dot is symmetric" ~count:100
     QCheck.(list_of_size (Gen.return 8) (float_range (-10.0) 10.0))
@@ -367,6 +377,7 @@ let suites =
         Alcotest.test_case "weighted norm" `Quick test_vec_weighted_norm;
         Alcotest.test_case "clamp" `Quick test_vec_clamp;
         Alcotest.test_case "basis" `Quick test_vec_basis;
+        Alcotest.test_case "equal_bits" `Quick test_vec_equal_bits;
         QCheck_alcotest.to_alcotest prop_vec_dot_symmetric;
         QCheck_alcotest.to_alcotest prop_vec_triangle;
       ] );
