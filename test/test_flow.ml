@@ -301,7 +301,18 @@ let test_lp_normal_solver_cache backend () =
   in
   check "d1 before ulp" d1;
   check "one ulp up" (bumped k);
-  check "one ulp back" d1
+  check "one ulp back" d1;
+  (* Zeros of either sign floor to the same positive key entry, so the
+     sign of a zero in [d] never reaches the factor; the key comparison
+     itself tells [0.0] from [-0.0] (see the Vec.equal_bits test). *)
+  let zeroed z =
+    let d' = Vec.copy d1 in
+    d'.(0) <- z;
+    d'
+  in
+  check "+0.0 entry" (zeroed 0.0);
+  check "-0.0 entry" (zeroed (-0.0));
+  check "+0.0 entry again" (zeroed 0.0)
 
 (* Leverage.exact's row path against the textbook formula
    sigma_i = (M (M^T M)^{-1} M^T e_i)_i, bit for bit, on the flow LP with
