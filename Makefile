@@ -8,7 +8,7 @@ SERVE := ./_build/default/bin/lbcc_serve.exe
 DUNE_PROFILE := $(if $(LBCC_DEV),dev,strict)
 DUNE := dune build --profile $(DUNE_PROFILE)
 
-.PHONY: all build test lint lint-typed smoke bench-smoke perf fingerprints scale-smoke serve-smoke update-smoke doc ci clean
+.PHONY: all build test lint lint-typed smoke bench-smoke perfbench-smoke perf fingerprints scale-smoke serve-smoke update-smoke doc ci clean
 
 all: build
 
@@ -70,6 +70,19 @@ bench-smoke: build
 	  _bench_reports/BENCH_E5.json _bench_reports/BENCH_BYZ.json \
 	  _bench_reports/BENCH_PERF.json _bench_reports/BENCH_BATCH.json
 	@echo "bench-smoke: OK"
+
+# Repository benchmark smoke (perfbench/README.md): every workload in
+# BENCHMARK.json for 3 s, untraced.  run.py exits nonzero when the tree
+# does not build, an answer is wrong, the run is invalid or the printed
+# metric names drift from BENCHMARK.json; the first failure stops the loop.
+PERFBENCH_WORKLOADS := flow prepare serve dist
+perfbench-smoke: build
+	@for w in $(PERFBENCH_WORKLOADS); do \
+	  echo "perfbench: $$w"; \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 \
+	    || exit 1; \
+	done
+	@echo "perfbench-smoke: OK"
 
 # Regenerate the golden fingerprint file that pins every protocol in the
 # shared table (test/fp/fp.ml) at the golden seeds.  Refuses to run from a
@@ -134,7 +147,7 @@ doc:
 	  echo "doc: odoc not installed, skipping (opam install odoc)"; \
 	fi
 
-ci: build test lint lint-typed smoke serve-smoke update-smoke
+ci: build test lint lint-typed smoke serve-smoke update-smoke perfbench-smoke
 
 clean:
 	dune clean
