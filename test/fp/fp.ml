@@ -218,12 +218,8 @@ let flow_fp ~n seed =
     r.Mcmf_lp.matches_baseline r.Mcmf_lp.iterations r.Mcmf_lp.rounds
     (acct_fp acc)
 
-(* (row name, seed, fingerprint thunk). *)
-let flows =
-  List.map
-    (fun (n, seed) ->
-      (Printf.sprintf "mcmf n=%d" n, seed, fun () -> flow_fp ~n seed))
-    [ (6, 2022); (6, 2023); (6, 2024); (7, 2022); (7, 2023); (7, 2024) ]
+(* (|V|, network seed) of each golden flow row. *)
+let flows = [ (6, 2022); (6, 2023); (6, 2024); (7, 2022); (7, 2023); (7, 2024) ]
 
 (* The golden file keeps a readable subset of the seed range (the full
    cross product lives in the test suites).  Raw fingerprint strings are
@@ -241,5 +237,5 @@ let golden_lines () =
         golden_seeds)
     protocols
   @ List.map
-      (fun (name, seed, f) -> Printf.sprintf "%s\t%d\t%s" name seed (f ()))
+      (fun (n, seed) -> Printf.sprintf "mcmf n=%d\t%d\t%s" n seed (flow_fp ~n seed))
       flows
