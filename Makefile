@@ -37,7 +37,8 @@ lint-typed: build
 
 # Fault-injection smoke run: the reliable-broadcast layer must reproduce the
 # lossless outputs under 20% drop + an injected crash, and the raw engine run
-# must still terminate honestly.  Greps assert the recovery, not just exit 0.
+# must still terminate honestly; the Thm 1.1 flow at |V| = 12 must come out
+# exact.  Greps assert the recovery, not just exit 0.
 smoke: build
 	$(CLI) dist --algo bfs --vertices 24 --drop-prob 0.2 --crash 23@30 \
 	  --fault-seed 7 | grep -q 'matches lossless run: true'
@@ -48,6 +49,7 @@ smoke: build
 	$(CLI) dist --algo bfs --raw --drop-prob 0.3 --fault-seed 2 \
 	  | grep -q 'converged='
 	$(CLI) sparsify --vertices 48 --max-retries 2 | grep -q 'verdict=ok'
+	$(CLI) flow -n 12 | grep -q 'exact vs baseline=true'
 	dune exec test/test_main.exe -- test engine-diff -q
 	$(CLI) dist --algo leader --model bcc --vertices 16 --byz-count 2 \
 	  --byz-prob 0.2 --reliability byzantine \

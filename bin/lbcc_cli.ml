@@ -683,6 +683,17 @@ let flow_cmd =
           Printf.printf "wrote %s\n" path
       | None -> ()
     in
+    (* The flow claims exactness: a rounded flow that is infeasible or
+       differs from the combinatorial optimum is a failed claim. *)
+    let fail_unless_exact exact =
+      if not exact then begin
+        flush stdout;
+        prerr_endline
+          "lbcc flow: the flow is not exact (infeasible, or not the \
+           combinatorial optimum)";
+        exit 1
+      end
+    in
     match max_retries with
     | Some max_retries ->
         if reliability <> Model.None then
@@ -692,12 +703,16 @@ let flow_cmd =
             : Trace.t option * Metrics.t option);
         let o = Resilient.min_cost_max_flow ~seed ~max_retries net in
         pp_outcome "flow" o;
-        Option.iter report o.Resilient.value
+        Option.iter report o.Resilient.value;
+        fail_unless_exact
+          (match o.Resilient.value with Some r -> r.Lbcc.exact | None -> false)
     | None ->
         let tracer, metrics = make_obs ~trace ~json None in
         let ctx = Lbcc.Ctx.make ~seed ?tracer ?metrics ~reliability () in
-        report (Lbcc.min_cost_max_flow ~ctx net);
-        emit_obs ~trace ~json tracer metrics
+        let r = Lbcc.min_cost_max_flow ~ctx net in
+        report r;
+        emit_obs ~trace ~json tracer metrics;
+        fail_unless_exact r.Lbcc.exact
   in
   Cmd.v
     (Cmd.info "flow" ~doc:"Exact minimum-cost maximum flow (Theorem 1.1)")

@@ -133,15 +133,18 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
     iters * per_iter
   in
   (* Prepared workspaces, allocated once per operator and reused by every
-     IPM iteration's solve: the normal-matrix buffer, the floored diagonal,
-     and a one-entry factor cache.  The cache keeps the factor of [m_mat]
-     with a private copy of the floored diagonal it was assembled from; an
-     exact leverage evaluation issues one solve per LP row against the same
-     [d], so all but the first of them reuse the factor.  The key is
+     IPM iteration's solve: the normal-matrix buffer, the refinement step's
+     product and residual, the floored diagonal, and a one-entry factor
+     cache.  The cache keeps the factor of [m_mat] with a private copy of
+     the floored diagonal it was assembled from; an exact leverage
+     evaluation issues one solve per LP column against the same [d], so all
+     but the first of them reuse the factor.  The key is
      compared by bit pattern, so a hit returns exactly what a fresh
      assembly and factorization would.  The IPM drives the solver
      sequentially, so reusing the buffers and the cache is safe. *)
   let m_mat = Dense.create n_lp n_lp in
+  let mv = Array.make n_lp 0.0 in
+  let resid = Array.make n_lp 0.0 in
   let d_floored = Array.make inst.m_lp 0.0 in
   let cached_d = Array.make inst.m_lp 0.0 in
   let cached = ref None in
@@ -217,7 +220,10 @@ let laplacian_normal_solver ?accountant ?(backend = `Direct) inst =
        whose entries span ~30 orders of magnitude, where a single solve
        loses digits the path following cannot afford. *)
     let s = solve_once rhs in
-    let resid = Vec.sub rhs (Dense.matvec m_mat s) in
+    Dense.matvec_into m_mat s mv;
+    for i = 0 to n_lp - 1 do
+      resid.(i) <- rhs.(i) -. mv.(i)
+    done;
     if Vec.norm2 resid > 1e-12 *. Float.max 1.0 (Vec.norm2 rhs) then
       Vec.add s (solve_once resid)
     else s

@@ -54,13 +54,13 @@ val laplacian_normal_solver :
     system but numerically robust to the extreme diagonal ranges of late
     IPM iterates (the doubling squares the conditioning gap).
 
-    The returned operator is {e prepared}: its normal-matrix and diagonal
-    workspaces are allocated once here and reused by every solve, and it
-    must therefore be driven sequentially (the IPM does).  It keeps the
-    factor of the last normal matrix, keyed on the bit pattern of the
-    floored diagonal, so consecutive solves with the same [d] (one per LP
-    row in an exact leverage evaluation) factor once; results are
-    bit-identical to factoring on every call.  When factorization finds a
+    The returned operator is {e prepared}: its normal-matrix, refinement
+    and diagonal workspaces are allocated once here and reused by every
+    solve, and it must therefore be driven sequentially (the IPM does).
+    It keeps the factor of the last normal matrix, keyed on the bit
+    pattern of the floored diagonal, so consecutive solves with the same
+    [d] (one per LP column in an exact leverage evaluation) factor once;
+    results are bit-identical to factoring on every call.  When factorization finds a
     singular pivot, the matrix is refactored with its diagonal shifted by
     [1e-13] of its largest entry, and the refinement step corrects against
     the unshifted matrix. *)

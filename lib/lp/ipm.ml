@@ -56,11 +56,13 @@ let c_norm m = 24.0 *. sqrt 4.0 *. c_k m
 
 (* Normal solves are the IPM's query-phase cost: the operator itself was
    prepared once by the caller (instance broadcast + solver workspaces), so
-   the label mirrors the solver service's prepare/query split. *)
-let charge_solver acc (solver : Problem.normal_solver) =
+   the label mirrors the solver service's prepare/query split.  [probes]
+   distributed solves are charged as one entry. *)
+let charge_solver ?(probes = 1) acc (solver : Problem.normal_solver) =
   match acc with
   | Some a ->
-      Rounds.charge a ~label:"query/normal-solve" ~rounds:solver.Problem.rounds
+      Rounds.charge a ~label:"query/normal-solve"
+        ~rounds:(probes * solver.Problem.rounds)
   | None -> ()
 
 let charge_vector acc label =
@@ -70,25 +72,30 @@ let charge_vector acc label =
 
 (* Leverage oracle for [diag(d) A_x] with [A_x = diag(spp)^{-1} A]:
    row-scale [A] by [d / spp] and answer normal solves through the
-   instance backend. *)
+   instance backend.  An exact evaluation is charged as the m basis-vector
+   probes a distributed run makes (one T(n,m) solve each), whatever number
+   of local solves [Leverage.exact] uses to get the same scores; JL probes
+   charge themselves, one solve each. *)
 let leverage_oracle ?accountant ~config ~prng ~(problem : Problem.t)
     ~(solver : Problem.normal_solver) ~spp d =
   let dd = Vec.div d spp in
   let d2 = Vec.mul dd dd in
-  let op =
+  let op ~charged =
     {
       Leverage.a = problem.Problem.a;
       scale = dd;
       solve_normal =
         (fun z ->
-          charge_solver accountant solver;
+          if charged then charge_solver accountant solver;
           solver.Problem.solve ~d:d2 ~rhs:z);
       solve_rounds = solver.Problem.rounds;
     }
   in
   match config.leverage_mode with
-  | `Exact -> Leverage.exact op
-  | `Jl eta -> Leverage.approximate ?accountant ~prng ~eta op
+  | `Exact ->
+      charge_solver ~probes:(Problem.m problem) accountant solver;
+      Leverage.exact (op ~charged:false)
+  | `Jl eta -> Leverage.approximate ?accountant ~prng ~eta (op ~charged:true)
 
 (* Regularized Lewis weights at [x], warm-started from [w_prev]. *)
 let lewis_weights ?accountant ~config ~prng ~problem ~solver ~x ~w_prev () =

@@ -23,24 +23,30 @@ let of_row_scaled ?(solve_rounds = 1) a d =
 let apply op x = Vec.mul op.scale (Sparse.matvec op.a x)
 let apply_t op y = Sparse.matvec_t op.a (Vec.mul op.scale y)
 
-(* sigma_i = e_i^T M (M^T M)^{-1} M^T e_i with M = diag(scale) a.  Row i of
-   M is the only one [M^T e_i] touches, so the right-hand side is
-   [scale_i * a_i] and only entry i of [M s] is read back.  Both are built
-   with [Sparse.iter_row] in the accumulation order of [Sparse.matvec_t]
-   and [Sparse.matvec], so each score is bit-identical to
-   [apply (solve_normal (apply_t e_i))].(i) at O(nnz(a_i)) cost around the
-   solve instead of O(nnz(a) + m).  One normal solve per row, as before. *)
+(* sigma_i = e_i^T M (M^T M)^{-1} M^T e_i = d_i^2 a_i^T (M^T M)^{-1} a_i
+   with M = diag(scale) a.  The n normal solves against the basis vectors
+   give (M^T M)^{-1} column by column; each score then reads only the
+   entries at row i's nonzero columns, O(nnz(a_i)^2) per row.  The n
+   solves share one right-hand-side buffer. *)
 let exact op =
   let a = op.a and scale = op.scale in
-  let rhs = Vec.zeros (Sparse.cols a) in
+  let n = Sparse.cols a in
+  let e = Vec.zeros n in
+  let inv =
+    Array.init n (fun j ->
+        e.(j) <- 1.0;
+        let col = op.solve_normal e in
+        e.(j) <- 0.0;
+        col)
+  in
   Vec.init (Sparse.rows a) (fun i ->
-      let si = scale.(i) in
-      Array.fill rhs 0 (Vec.dim rhs) 0.0;
-      Sparse.iter_row a i (fun j v -> rhs.(j) <- rhs.(j) +. (v *. si));
-      let s = op.solve_normal rhs in
       let acc = ref 0.0 in
-      Sparse.iter_row a i (fun j v -> acc := !acc +. (v *. s.(j)));
-      si *. !acc)
+      Sparse.iter_row a i (fun j aij ->
+          let col = inv.(j) in
+          Sparse.iter_row a i (fun k aik ->
+              acc := !acc +. (aij *. aik *. col.(k))));
+      let si = scale.(i) in
+      si *. si *. !acc)
 
 let approximate ?accountant ~prng ~eta op =
   if eta <= 0.0 then invalid_arg "Leverage.approximate: eta must be positive";

@@ -14,8 +14,9 @@ type operator = {
   a : Sparse.t;  (** the [m x n] constraint matrix *)
   scale : Vec.t;  (** row scale [d]: the operator is [M = diag(d) a] *)
   solve_normal : Vec.t -> Vec.t;
-      (** [(M^T M)^{-1} z] to high precision.  Must not keep [z]: {!exact}
-          reuses one right-hand-side buffer across its solves. *)
+      (** [(M^T M)^{-1} z] to high precision, as a fresh vector.  Must not
+          keep [z]: {!exact} reuses one right-hand-side buffer across its
+          solves and keeps every result. *)
   solve_rounds : int;
       (** the [T(n,m)] of Theorem 1.4: rounds charged per normal solve *)
 }
@@ -34,10 +35,14 @@ val apply_t : operator -> Vec.t -> Vec.t
 (** [M^T y]. *)
 
 val exact : operator -> Vec.t
-(** Exact leverage scores, one normal solve per row:
-    [sigma_i = d_i a_i^T s] with [s = (M^T M)^{-1} (d_i a_i)].  Each entry
-    is bit-identical to [(M (M^T M)^{-1} M^T e_i)_i]; reference for tests
-    and small instances. *)
+(** Exact leverage scores from one normal solve per column: the [n] solves
+    [(M^T M)^{-1} e_j] give the inverse column by column, and each score is
+    read from its own row, [sigma_i = d_i^2 sum_{j,k} a_ij a_ik
+    ((M^T M)^{-1})_jk] over the nonzeros of [a_i].  [n] solves per call
+    instead of [m]; each entry equals [(M (M^T M)^{-1} M^T e_i)_i] up to
+    rounding.  Charges nothing itself: the IPM charges an exact evaluation
+    as [m] distributed probes (DESIGN.md §6).  Reference for tests and
+    small instances. *)
 
 val approximate :
   ?accountant:Lbcc_net.Rounds.t ->

@@ -3,6 +3,9 @@ module Vec = Lbcc_linalg.Vec
 module Sparse = Lbcc_linalg.Sparse
 module Problem = Lbcc_lp.Problem
 module Ipm = Lbcc_lp.Ipm
+module Rounds = Lbcc_net.Rounds
+module Network = Lbcc_flow.Network
+module Mcmf_lp = Lbcc_flow.Mcmf_lp
 
 (* A small transportation-style LP with a known optimum:
    min c^T x  over  { x in [0,1]^m : sum x_i = budget }.
@@ -165,6 +168,42 @@ let test_jl_leverage_mode_end_to_end () =
   Alcotest.(check bool) "JL-backed solve near optimum" true
     (Vec.dot costs x <= opt +. 0.1)
 
+(* An exact leverage evaluation is charged as m distributed probes of one
+   normal solve each, however many local solves it makes: n, one per LP
+   column.  Evaluations are counted as the runs of solver calls that share
+   one diagonal (bit for bit); the IPM does not charge the wrapped calls
+   itself in exact mode. *)
+let test_exact_leverage_charging () =
+  let net =
+    Network.random (Prng.create 2022) ~n:6 ~density:0.3 ~max_capacity:6
+      ~max_cost:5
+  in
+  let inst = Mcmf_lp.build ~prng:(Prng.create 1) net in
+  let problem = inst.Mcmf_lp.problem in
+  let m = Problem.m problem and n = Problem.n problem in
+  let inner = Mcmf_lp.laplacian_normal_solver inst in
+  let calls = ref 0 and evaluations = ref 0 and last_d = ref [||] in
+  let solve ~d ~rhs =
+    incr calls;
+    if not (Vec.equal_bits d !last_d) then begin
+      incr evaluations;
+      last_d := Vec.copy d
+    end;
+    inner.Problem.solve ~d ~rhs
+  in
+  let solver = { inner with Problem.solve } in
+  let acc = Rounds.create ~bandwidth:8 in
+  let (_ : Vec.t * int) =
+    Ipm.initial_weights ~accountant:acc ~config:Ipm.default_config
+      ~prng:(Prng.create 7) ~problem ~solver ~x0:inst.Mcmf_lp.x0 ()
+  in
+  Alcotest.(check bool) "some evaluations" true (!evaluations > 0);
+  Alcotest.(check int) "n solves per evaluation" (n * !evaluations) !calls;
+  Alcotest.(check (list (pair string int)))
+    "m probes charged per evaluation"
+    [ ("query/normal-solve", m * solver.Problem.rounds * !evaluations) ]
+    (Rounds.breakdown acc)
+
 let suites =
   [
     ( "ipm",
@@ -177,6 +216,8 @@ let suites =
         Alcotest.test_case "iterations scale with c1" `Slow test_iterations_scale_with_c1;
         Alcotest.test_case "initial weights size bound" `Quick
           test_initial_weights_size_bound;
+        Alcotest.test_case "exact leverage charging" `Quick
+          test_exact_leverage_charging;
         Alcotest.test_case "centering contracts" `Quick test_centering_reduces_delta;
         Alcotest.test_case "rejects bad inputs" `Quick test_lp_solve_rejects_bad_inputs;
         Alcotest.test_case "paper weight update" `Slow test_paper_weight_update_runs;
